@@ -24,7 +24,12 @@
 //!   `dist/fw-barrier-messages` — Floyd–Warshall closure at `n = 64`,
 //!   `p = 4`: one superstep per plan wave, `2·(p−1)` barrier messages each;
 //! * `dist/lcs-gather-words` — LCS ships a single word home (the corner of
-//!   the DP table), the smallest possible gather.
+//!   the DP table), the smallest possible gather;
+//! * `dist/lcs-writeback-words`, `dist/lcs-boundary-cells` — LCS at
+//!   `n = m = 1024`, 2 ranks, base 64: a region writes back only its bottom
+//!   row and right column, so the writeback is at most the plan's boundary
+//!   cells (the sum over regions of `rows + cols − 1`) — only those another
+//!   rank owns actually ship.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paco_cache_sim::distributed::{paco_mm_distributed, paco_strassen_distributed};
@@ -78,15 +83,21 @@ fn fw_stats(n: usize, p: usize) -> DistStats {
     stats
 }
 
-fn lcs_stats(n: usize, m: usize, p: usize) -> DistStats {
+/// A distributed LCS run's stats plus its plan's boundary-cell count.
+fn lcs_stats(n: usize, m: usize, p: usize, base: usize) -> (DistStats, usize) {
     let a = workload::random_sequence(n, 4, 21);
     let b = workload::random_sequence(m, 4, 22);
-    let compiled = Arc::new(paco_dp::lcs::plan_paco_lcs(a.len(), b.len(), p, 32));
+    let compiled = Arc::new(paco_dp::lcs::plan_paco_lcs(a.len(), b.len(), p, base));
+    let boundary = compiled
+        .regions
+        .iter()
+        .map(|r| r.rows.len() + r.cols.len() - 1)
+        .sum();
     let pl = placement(p);
-    let w = LcsDist::new(a, b, Arc::clone(&compiled), 32);
+    let w = LcsDist::new(a, b, Arc::clone(&compiled), base);
     let sp = lower(&w, &compiled.plan, &pl);
     let (_, stats) = run_lowered(&w, &compiled.plan, &pl, &sp);
-    stats
+    (stats, boundary)
 }
 
 fn bench_dist(c: &mut Criterion) {
@@ -135,8 +146,13 @@ fn bench_dist(c: &mut Criterion) {
     criterion::record_metric("dist/fw-barrier-messages", fw.comm.barrier_messages as f64);
 
     // LCS gathers exactly one word (the DP corner).
-    let lcs = lcs_stats(96, 80, 4);
+    let (lcs, _) = lcs_stats(96, 80, 4, 32);
     criterion::record_metric("dist/lcs-gather-words", lcs.comm.gather_words as f64);
+
+    // LCS writes back region boundaries only.
+    let (lcs, boundary) = lcs_stats(1024, 1024, 2, 64);
+    criterion::record_metric("dist/lcs-writeback-words", lcs.comm.writeback_words as f64);
+    criterion::record_metric("dist/lcs-boundary-cells", boundary as f64);
 }
 
 criterion_group!(benches, bench_dist);

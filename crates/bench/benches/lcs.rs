@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paco_core::machine::available_processors;
 use paco_core::workload::related_sequences;
-use paco_dp::lcs::{lcs_pa, lcs_po, lcs_sequential_co};
+use paco_dp::lcs::{lcs_pa, lcs_po, lcs_sequential_co, LcsRun, DEFAULT_BASE};
 use paco_runtime::WorkerPool;
 use paco_service::{Lcs, Session};
 
@@ -50,6 +50,12 @@ fn bench_lcs(c: &mut Criterion) {
         delta.lcs_leaf_specialized as f64,
     );
     criterion::record_metric("kernel/lcs-leaf-generic", delta.lcs_leaf_generic as f64);
+
+    // The service run's only table memory: the boundary store of the cut
+    // rows and columns of the p = 4 partition, against the full table's
+    // 4·(n+1)² bytes.
+    let run = LcsRun::prepare(a, b, 4, DEFAULT_BASE);
+    criterion::record_metric("lcs/table-bytes", run.store_bytes() as f64);
 }
 
 criterion_group!(benches, bench_lcs);

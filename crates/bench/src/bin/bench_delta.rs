@@ -56,6 +56,7 @@ const COUNTER_MARKERS: &[&str] = &[
     "leaf-generic",
     "fallbacks",    // incr/full-fallbacks
     "repropagated", // incr/blocks-repropagated-ratio
+    "table-bytes",  // lcs/table-bytes
 ];
 
 /// True for gauges the soft gate enforces (see [`COUNTER_MARKERS`]).

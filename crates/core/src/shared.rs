@@ -256,6 +256,23 @@ impl<T: Copy> SharedSlice<T> {
         std::slice::from_raw_parts_mut(base.add(range.start), range.len())
     }
 
+    /// A shared slice over `range` of the underlying cells.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee that, for as long as the returned slice is
+    /// live, no write touches any cell of `range` (the module-level
+    /// contract: the cells are final, produced before the last barrier).
+    pub unsafe fn slice(&self, range: Range<usize>) -> &[T] {
+        debug_assert!(range.end <= self.len(), "SharedSlice slice OOB");
+        if range.is_empty() {
+            return &[];
+        }
+        let base = self.cells.as_ptr() as *const T;
+        // SAFETY: as `slice_mut`, with shared access as the caller's contract.
+        std::slice::from_raw_parts(base.add(range.start), range.len())
+    }
+
     /// Copy a range into a plain vector; only call when no task is running.
     pub fn snapshot_range(&self, range: Range<usize>) -> Vec<T> {
         range.map(|i| self.get(i)).collect()

@@ -30,8 +30,10 @@
 //! rank's private memory (`FwRun`, `MmRun`, `LcsRun`, `StrassenRun`):
 //! correctness comes from the data each rank *sees*, not from new kernels.
 //! A rank allocates full-shape local tables (O(n²) per rank rather than
-//! O(n²/p)) — this is an emulation for exact accounting on one box, not a
-//! memory-scaled MPI port, and the words shipped are what the paper bounds.
+//! O(n²/p); LCS, whose run state keeps only its partition's cut rows and
+//! columns, is the exception) — this is an emulation for exact accounting
+//! on one box, not a memory-scaled MPI port, and the words shipped are what
+//! the paper bounds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

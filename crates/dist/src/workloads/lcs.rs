@@ -1,11 +1,14 @@
 //! LCS on the shared-nothing executor.
 //!
-//! The `(n+1) × (m+1)` DP table starts all-zero on every rank (a consistent
-//! replica costing zero scatter words); the sequences ship once at scatter
-//! time as exactly the deduplicated index ranges a rank's regions compare.
-//! A region's cross-rank dataflow is its one-cell halo: the row strip above
-//! it and the column strip left of it, which is what each wave's exchange
-//! delivers before the `co_block` kernel fills the region in place.
+//! Each rank's private state is an `LcsRun`: not a table, only the plan's
+//! cut rows and columns, zero-initialised on every rank (a consistent
+//! replica of the table's zero row and column, costing zero scatter words).
+//! The sequences ship once at scatter time as exactly the deduplicated index
+//! ranges a rank's regions compare.  A region's cross-rank dataflow is its
+//! one-cell halo — the row strip above it and the column strip left of it —
+//! which each wave's exchange delivers, and its result is its bottom row and
+//! right column, which the writeback returns to their owners.  The
+//! region's interior never leaves the `bp_block` sweep that computes it.
 
 use crate::exec::DistWorkload;
 use crate::Region;
@@ -80,7 +83,13 @@ impl DistWorkload for LcsDist {
 
     fn writes(&self, job: &usize) -> Vec<(usize, Region)> {
         let r = &self.compiled.regions[*job];
-        vec![(0, Region::new(r.rows.clone(), r.cols.clone()))]
+        let (re, ce) = (r.rows.end, r.cols.end);
+        // The bottom row, then the rest of the right column (disjoint, so
+        // the corner ships once).
+        vec![
+            (0, Region::new(re - 1..re, r.cols.clone())),
+            (0, Region::new(r.rows.start..re - 1, ce - 1..ce)),
+        ]
     }
 
     fn scatter(
@@ -89,7 +98,7 @@ impl DistWorkload for LcsDist {
         _rank: usize,
         jobs: &[usize],
     ) -> ((Vec<u32>, Vec<u32>, u64), u64) {
-        // `co_block` compares `a[i-1]` for table rows `i` and `b[j-1]` for
+        // `bp_block` compares `a[i-1]` for table rows `i` and `b[j-1]` for
         // table columns `j`: ship exactly those index ranges.
         let a_ranges = Self::merged(
             jobs.iter()
@@ -136,20 +145,18 @@ impl DistWorkload for LcsDist {
     }
 
     fn pack(&self, state: &LcsRun, _buf: usize, region: Region, out: &mut Vec<u32>) {
-        let grid = state.table().grid();
         for i in region.r0..region.r1 {
             for j in region.c0..region.c1 {
-                out.push(grid.get(i, j));
+                out.push(state.boundary_cell(i, j));
             }
         }
     }
 
     fn unpack(&self, state: &mut LcsRun, _buf: usize, region: Region, data: &[u32]) {
-        let grid = state.table().grid();
         let mut data = data.iter();
         for i in region.r0..region.r1 {
             for j in region.c0..region.c1 {
-                grid.set(i, j, *data.next().expect("part carries its region"));
+                state.set_boundary_cell(i, j, *data.next().expect("part carries its region"));
             }
         }
     }
@@ -158,7 +165,7 @@ impl DistWorkload for LcsDist {
         // The answer is one word: the bottom-right cell, gathered from the
         // rank that owns it.
         if placement.owner(self.a.len(), self.b.len()) == rank {
-            (Some(state.table().lcs_length()), 1)
+            (Some(state.finish()), 1)
         } else {
             (None, 0)
         }

@@ -12,18 +12,33 @@
 //!         = max(X[i][j-1], X[i-1][j])          otherwise
 //! ```
 //!
+//! The leaf is [`bp_block`], the bit-vector LCS of Allison & Dix (1986) in
+//! Hyyrö's formulation ("Bit-parallel LCS-length computation revisited",
+//! 2004), generalised to a tile with arbitrary boundaries: it reads the
+//! block's top row and left column and writes *only* its bottom row and
+//! right column, one machine word per 64 columns of a row.  That is the
+//! paper's view of a PACO tile (a tile exchanges nothing but its boundary),
+//! and it is all any neighbour ever reads: in a rectangle tiling, the halo
+//! of a block lies on the bottom rows and right columns of the blocks above
+//! and to its left.
+//!
 //! [`co_block`] evaluates a block with the cache-oblivious 2-way
 //! divide-and-conquer of Chowdhury & Ramachandran (recursing on the longer
-//! dimension until a small base case, then sweeping row-major), which incurs
+//! dimension until a small base case), which incurs
 //! `O(b_r·b_c/(LZ) + (b_r+b_c)/L)` misses per block.  The kernels are generic
-//! over [`Tracker`] so the exact same code path can be replayed through the
-//! ideal distributed cache simulator.
+//! over [`Tracker`]; [`base_block`] takes one of two paths:
 //!
-//! This reproduction stores the full `(n+1)×(m+1)` table (the paper's CO-LCS
-//! computes only the length and uses linear space; keeping the table makes the
-//! partitioning experiments and the correctness tests much more direct and does
-//! not change any of the compared quantities, since every variant pays for the
-//! same table).
+//! * with a tracking [`Tracker`] (the cache simulator) it runs the scalar
+//!   row-major sweep over a full `(n+1)×(m+1)` [`LcsTable`], so the replayed
+//!   access stream — and every `Q` number derived from it — is the one the
+//!   paper analyses;
+//! * under [`paco_cache_sim::NullTracker`] it runs [`bp_block`], and only
+//!   the block's boundary cells of the table are written; interior cells
+//!   keep whatever they held.
+//!
+//! The service path (`LcsRun`) keeps no table at all: it stores only the
+//! cut rows and columns of its partition and runs one [`bp_block`] per
+//! region.
 
 use crate::shared::SharedGrid;
 use paco_cache_sim::layout::{AddressSpace, Layout1D, Layout2D};
@@ -71,37 +86,10 @@ impl LcsTable {
     /// An all-zero table for sequences of length `n` and `m`.
     pub fn new(n: usize, m: usize) -> Self {
         Self {
-            grid: SharedGrid::new(n + 1, m + 1, 0),
+            grid: SharedGrid::from_vec(n + 1, m + 1, vec![0; (n + 1) * (m + 1)]),
             n,
             m,
         }
-    }
-
-    /// A table over caller-provided storage (e.g. a pooled buffer); `v` must
-    /// hold `(n + 1) * (m + 1)` zeros.
-    pub fn with_storage(n: usize, m: usize, v: Vec<u32>) -> Self {
-        debug_assert!(v.iter().all(|&x| x == 0), "table storage must be zeroed");
-        Self {
-            grid: SharedGrid::from_vec(n + 1, m + 1, v),
-            n,
-            m,
-        }
-    }
-
-    /// Consume the table, returning its row-major storage (the inverse of
-    /// [`LcsTable::with_storage`]) so it can go back to a pool.
-    pub fn into_storage(self) -> Vec<u32> {
-        self.grid.into_vec()
-    }
-
-    /// Length of the first sequence.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Length of the second sequence.
-    pub fn m(&self) -> usize {
-        self.m
     }
 
     /// The shared cell grid.
@@ -134,14 +122,20 @@ pub fn lcs_reference(a: &[u32], b: &[u32]) -> u32 {
     prev[m]
 }
 
-/// Fill the table cells in `rows × cols` (1-based table coordinates) with a
-/// plain row-major sweep.  Requires row `rows.start - 1` and column
-/// `cols.start - 1` to be final.
+/// Fill the block `rows × cols` (1-based table coordinates).  Requires row
+/// `rows.start - 1` and column `cols.start - 1` to be final over the block's
+/// extent, the top-left corner included.
 ///
-/// When nothing observes the per-cell accesses (`T::TRACKING` is false, i.e.
-/// the production `NullTracker`), the sweep runs `base_block_fast` — a
-/// row-sliced, branch-free form of the same recurrence with bit-identical
-/// results (see its docs for the argument).
+/// What gets written depends on the tracker:
+///
+/// * when `T::TRACKING` (the cache simulator), a scalar row-major sweep
+///   writes every cell of the block and reports each access, so replayed
+///   miss counts are those of the table algorithm the paper analyses;
+/// * otherwise (the production `NullTracker`), [`bp_block`] runs over the
+///   block's halo and only the block's **bottom row and right column** are
+///   written.  Interior cells keep whatever they held: every caller's
+///   blocks tile the table, so a block's halo always lies on boundaries
+///   its neighbours wrote, and the final cell `(n, m)` is a boundary cell.
 #[inline]
 pub fn base_block<T: Tracker>(
     table: &LcsTable,
@@ -152,12 +146,35 @@ pub fn base_block<T: Tracker>(
     tracker: &mut T,
     addr: &LcsAddr,
 ) {
+    let grid = &table.grid;
     if !T::TRACKING && !rows.is_empty() && !cols.is_empty() {
-        base_block_fast(table, a, b, rows, cols);
-        kernel_metrics::record_lcs_leaf(true);
+        let (h, w) = (rows.len(), cols.len());
+        let mut halo = vec![0u32; 2 * (h + w) + 1];
+        let (top, rest) = halo.split_at_mut(w + 1);
+        let (left, rest) = rest.split_at_mut(h);
+        let (bottom, right) = rest.split_at_mut(w);
+        for (t, j) in top.iter_mut().zip(cols.start - 1..cols.end) {
+            *t = grid.get(rows.start - 1, j);
+        }
+        for (l, i) in left.iter_mut().zip(rows.clone()) {
+            *l = grid.get(i, cols.start - 1);
+        }
+        bp_block(
+            &a[rows.start - 1..rows.end - 1],
+            &b[cols.start - 1..cols.end - 1],
+            top,
+            left,
+            bottom,
+            right,
+        );
+        for (&x, j) in bottom.iter().zip(cols.clone()) {
+            grid.set(rows.end - 1, j, x);
+        }
+        for (&x, i) in right.iter().zip(rows) {
+            grid.set(i, cols.end - 1, x);
+        }
         return;
     }
-    let grid = &table.grid;
     for i in rows {
         let ai = a[i - 1];
         tracker.read(addr.a.addr(i - 1));
@@ -178,50 +195,126 @@ pub fn base_block<T: Tracker>(
     kernel_metrics::record_lcs_leaf(false);
 }
 
-/// Branch-free row-sliced form of the [`base_block`] sweep.
+/// Symbols below this bound index the match-mask table directly.
+const DIRECT_ALPHABET: usize = 256;
+
+/// Bit-parallel LCS over one block of the table: boundary in, boundary out.
 ///
-/// Per cell it computes `max(up, left, diag + [a_i == b_j])` over row slices
-/// instead of branching on the match.  This is *bit-identical* to the branchy
-/// recurrence: adjacent LCS table cells differ by at most 1, so
-/// `diag <= up <= diag + 1` and `diag <= left <= diag + 1`; on a match the
-/// three-way max is exactly `diag + 1`, and on a mismatch the `diag` term can
-/// never exceed `max(up, left)`.  (`tests/kernel_agreement.rs` cross-checks
-/// against the tracked branchy sweep.)
-fn base_block_fast(table: &LcsTable, a: &[u32], b: &[u32], rows: Range<usize>, cols: Range<usize>) {
-    let grid = &table.grid;
-    let len = cols.len();
-    let bs = &b[cols.start - 1..cols.end - 1];
-    for i in rows {
-        let ai = a[i - 1];
-        // SAFETY: rows of the grid are contiguous and both slices are in
-        // bounds (`cols.end <= m + 1`); `prev` covers row `i - 1`, which is
-        // final by the kernel's contract (the boundary row for
-        // `i == rows.start`, the row this loop just wrote otherwise), while
-        // `cur` covers the disjoint row `i` this task owns exclusively under
-        // the wavefront discipline — the boundary cell `(i, cols.start - 1)`
-        // is read into `left` and deliberately left outside the mut slice.
-        let prev = unsafe {
-            std::slice::from_raw_parts(grid.cell_ptr(i - 1, cols.start - 1).cast_const(), len + 1)
-        };
-        let cur = unsafe { std::slice::from_raw_parts_mut(grid.cell_ptr(i, cols.start), len) };
-        // Two passes so the expensive part vectorizes.  Pass 1 has no
-        // loop-carried dependency: `cur[j] = max(up, diag + [a_i == b_j])`
-        // is 8 lanes of compare/add/max per AVX2 vector.  Pass 2 folds in
-        // the `left` neighbour as a running prefix max — the serial chain —
-        // but is down to one `max` and one store per cell.  The composition
-        // computes exactly `max(up, left, diag + eq)` cell by cell, because
-        // the prefix max over pass-1 values equals the branchy recurrence's
-        // `left` (max is associative and every cell's final value is the
-        // prefix max of its own pass-1 value and all pass-1 values to its
-        // left, seeded with the boundary cell).
-        for (jj, (cj, &bj)) in cur.iter_mut().zip(bs).enumerate() {
-            *cj = prev[jj + 1].max(prev[jj] + u32::from(ai == bj));
+/// `a` holds the block's `h` row symbols and `b` its `w` column symbols.
+/// `top` is the table row just above the block from the column left of it
+/// to its last column (`w + 1` values, top-left corner first); `left` is the
+/// column just left of the block over its `h` rows.  On return `bottom`
+/// holds the block's last row (`w` values) and `right` its last column
+/// (`h` values).  A block with no rows or no columns passes its top or left
+/// halo through.
+///
+/// Bit `j` of the row vector `V` is set when the horizontal step
+/// `X[i][j+1] - X[i][j]` is 0.  Each row runs Hyyrö's update
+/// `U = V & PM[a_i]; V = (V + U + c) | (V & !U)` across `⌈w/64⌉` words; the
+/// carry chain of that addition is the vertical step `X[i][j] - X[i-1][j]`,
+/// column by column.  Two facts make the sweep compose across tiles:
+///
+/// * the carry into a row is the left boundary's vertical step,
+///   `left[i] - left[i-1]` (with `left[-1]` the corner `top[0]`);
+/// * the carry out of a row is the vertical step of the block's last
+///   column, so `right[i] = right[i-1] + carry` (with `right[-1] = top[w]`).
+///
+/// The bottom row is `left[h-1]` plus a running count of the zero bits of
+/// the final `V`.
+///
+/// Match masks are exact for every `u32` symbol: indexed by symbol when all
+/// of `b` is below 256, otherwise through a sorted table of `b`'s distinct
+/// symbols.
+///
+/// # Panics
+///
+/// If a boundary slice's length does not match the block.
+pub fn bp_block(
+    a: &[u32],
+    b: &[u32],
+    top: &[u32],
+    left: &[u32],
+    bottom: &mut [u32],
+    right: &mut [u32],
+) {
+    let (h, w) = (a.len(), b.len());
+    assert!(
+        top.len() == w + 1 && left.len() == h && bottom.len() == w && right.len() == h,
+        "bp_block: boundary lengths do not match the {h}x{w} block"
+    );
+    kernel_metrics::record_lcs_leaf(true);
+    if b.iter().all(|&s| (s as usize) < DIRECT_ALPHABET) {
+        let masks = match_masks(b, DIRECT_ALPHABET, |s| s as usize);
+        sweep(a, top, left, bottom, right, &masks, |s| {
+            (s as usize).min(DIRECT_ALPHABET)
+        });
+    } else {
+        let mut keys = b.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        let masks = match_masks(b, keys.len(), |s| {
+            keys.binary_search(&s).expect("a symbol of b has a slot")
+        });
+        sweep(a, top, left, bottom, right, &masks, |s| {
+            keys.binary_search(&s).unwrap_or(keys.len())
+        });
+    }
+}
+
+/// `slots + 1` match masks of `⌈w/64⌉` words each: bit `j` of mask
+/// `slot(s)` is set iff `b[j] == s`.  The last mask is all zero — the one
+/// a symbol absent from `b` looks up.
+fn match_masks(b: &[u32], slots: usize, slot: impl Fn(u32) -> usize) -> Vec<u64> {
+    let words = b.len().div_ceil(64);
+    let mut masks = vec![0u64; (slots + 1) * words];
+    for (j, &s) in b.iter().enumerate() {
+        masks[slot(s) * words + j / 64] |= 1 << (j % 64);
+    }
+    masks
+}
+
+/// The row sweep of [`bp_block`], over masks laid out by [`match_masks`]
+/// and looked up through `slot`.
+fn sweep(
+    a: &[u32],
+    top: &[u32],
+    left: &[u32],
+    bottom: &mut [u32],
+    right: &mut [u32],
+    masks: &[u64],
+    slot: impl Fn(u32) -> usize,
+) {
+    let w = bottom.len();
+    let words = w.div_ceil(64);
+    // Padding bits past column `w` stay set and never match, so they pass
+    // the last column's carry straight out of the top word.
+    let mut v = vec![!0u64; words];
+    for j in 0..w {
+        if top[j + 1] != top[j] {
+            v[j / 64] &= !(1 << (j % 64));
         }
-        let mut left = grid.get(i, cols.start - 1);
-        for cj in cur.iter_mut() {
-            left = left.max(*cj);
-            *cj = left;
+    }
+    let mut left_prev = top[0];
+    let mut right_prev = top[w];
+    for ((&ai, &li), r) in a.iter().zip(left).zip(right.iter_mut()) {
+        let pm = &masks[slot(ai) * words..][..words];
+        // Adjacent table cells differ by 0 or 1, so "differs" is the step.
+        let mut carry = u64::from(li != left_prev);
+        left_prev = li;
+        for (vk, &pk) in v.iter_mut().zip(pm) {
+            let u = *vk & pk;
+            let (s1, c1) = vk.overflowing_add(u);
+            let (s2, c2) = s1.overflowing_add(carry);
+            carry = u64::from(c1 | c2);
+            *vk = s2 | (*vk & !u);
         }
+        right_prev += carry as u32;
+        *r = right_prev;
+    }
+    let mut x = left_prev;
+    for (j, out) in bottom.iter_mut().enumerate() {
+        x += 1 - ((v[j / 64] >> (j % 64)) & 1) as u32;
+        *out = x;
     }
 }
 
@@ -363,6 +456,17 @@ mod tests {
     fn co_kernel_on_related_sequences() {
         let (a, b) = related_sequences(300, 4, 0.2, 9);
         assert_eq!(lcs_sequential_co(&a, &b, 32), lcs_reference(&a, &b));
+    }
+
+    #[test]
+    fn bp_block_passes_halo_through_empty_blocks() {
+        let (top, left) = ([3, 4, 4, 5], [4, 5]);
+        let mut bottom = [0; 3];
+        bp_block(&[], &[7, 8, 9], &top, &[], &mut bottom, &mut []);
+        assert_eq!(bottom, [4, 4, 5]);
+        let mut right = [0; 2];
+        bp_block(&[7, 8], &[], &top[..1], &left, &mut [], &mut right);
+        assert_eq!(right, left);
     }
 
     #[test]

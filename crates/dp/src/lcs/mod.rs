@@ -28,11 +28,11 @@ pub mod po;
 pub mod trace;
 
 pub use kernel::{
-    co_block, lcs_reference, lcs_sequential_co, lcs_sequential_traced, LcsAddr, LcsTable,
+    bp_block, co_block, lcs_reference, lcs_sequential_co, lcs_sequential_traced, LcsAddr, LcsTable,
     DEFAULT_BASE,
 };
 pub use pa::{lcs_pa, lcs_pa_traced};
-pub use paco::{execute_plan, lcs_paco_traced, LcsRun};
+pub use paco::{lcs_paco_traced, LcsRun};
 pub use partition::{plan_paco_lcs, PacoLcsPlan, Region};
 pub use po::lcs_po;
 pub use trace::{hirschberg, lcs_of_script, replay, EditOp};

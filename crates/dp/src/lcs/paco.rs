@@ -4,47 +4,55 @@
 //! and lowers the wavefront ("anti-diagonal by anti-diagonal along a time
 //! line", Fig. 3) into the runtime's wave-based
 //! [`Plan`] IR.  Execution is entirely generic:
-//! one pool barrier per wave, every region computed by the sequential
-//! cache-oblivious kernel of Lemma 1 on its pre-assigned processor.  Because a
-//! plan step carries the region *index* (plain data, not a boxed closure),
-//! both executors below invoke [`co_block`] with a concrete tracker type — the
-//! native path is fully monomorphized over [`NullTracker`] and pays zero
-//! virtual-dispatch overhead, the same `LeafCall` discipline as `paco-graph`.
+//! one pool barrier per wave, every region computed on its pre-assigned
+//! processor.  Because a plan step carries the region *index* (plain data,
+//! not a boxed closure), both executors below call their kernel with a
+//! concrete type — the same `LeafCall` discipline as `paco-graph`.
 //!
 //! Entry points:
 //!
-//! * [`LcsRun`] — the prepared instance (plan + shared state) the service
-//!   layer's `Session` schedules; everything else is sugar over it.  The
-//!   schedule skeleton is workload-independent — it depends only on
-//!   `(n, m, p, base)` — so [`LcsRun::from_plan`] binds fresh inputs to a
-//!   shared, possibly cached [`PacoLcsPlan`] without re-partitioning.
+//! * [`LcsRun`] — the prepared instance (plan + boundary store + inputs) the
+//!   service layer's `Session` schedules.  Like the paper's linear-space
+//!   CO-LCS, it never holds the table: it stores only the plan's cut rows
+//!   and columns, and each step is one [`bp_block`] sweep that reads a
+//!   region's halo from them and writes the region's bottom row and right
+//!   column back.  The schedule skeleton is workload-independent — it
+//!   depends only on `(n, m, p, base)` — so [`LcsRun::from_plan`] binds
+//!   fresh inputs to a shared, possibly cached [`PacoLcsPlan`] without
+//!   re-partitioning.
 //! * [`lcs_paco_traced`] — the identical plan replayed sequentially through
-//!   the ideal distributed cache simulator, which yields the paper's
-//!   `Q^Σ_p` / `Q^max_p` for the Table I experiments.
+//!   the ideal distributed cache simulator over the full table with the
+//!   cache-oblivious kernel, which yields the paper's `Q^Σ_p` / `Q^max_p`
+//!   for the Table I experiments.
 
 use std::sync::Arc;
 
-use super::kernel::{co_block, LcsAddr, LcsTable};
+use super::kernel::{bp_block, co_block, LcsAddr, LcsTable};
 use super::partition::{plan_paco_lcs, PacoLcsPlan};
-use paco_cache_sim::{DistCacheSim, NullTracker, SimTracker, Tracker};
+use paco_cache_sim::{DistCacheSim, SimTracker, Tracker};
 use paco_core::arena::ScratchArena;
 use paco_core::machine::CacheParams;
 use paco_core::proc_list::ProcId;
+use paco_core::shared::SharedSlice;
 use paco_runtime::schedule::Plan;
-use paco_runtime::WorkerPool;
 
 /// A prepared PACO LCS instance: the compiled wave plan plus the shared state
-/// (DP table, inputs) its steps interpret.  This is the unit the service
-/// layer's `Session` schedules — alone, in homogeneous batches, or mixed with
-/// other workloads.
+/// (boundary store, inputs) its steps interpret.  This is the unit the
+/// service layer's `Session` schedules — alone, in homogeneous batches, or
+/// mixed with other workloads.
+///
+/// The store holds one full table row per cut row of the plan (row-major,
+/// `m + 1` cells each) followed by one full table column per cut column
+/// (`n + 1` cells each).  A table cell is *in the store* when its row or its
+/// column is a cut; every region's bottom row and right column are, and so
+/// is every cell a region's halo reads.  Where a cell lies on both a cut
+/// row and a cut column, both copies are kept equal.
 pub struct LcsRun {
     a: Vec<u32>,
     b: Vec<u32>,
     compiled: Arc<PacoLcsPlan>,
-    table: LcsTable,
-    addr: LcsAddr,
-    base: usize,
-    /// Pool the table storage returns to at finish (`from_plan_in` runs only).
+    store: SharedSlice<u32>,
+    /// Pool the store returns to at finish (`from_plan_in` runs only).
     arena: Option<Arc<ScratchArena>>,
 }
 
@@ -57,40 +65,45 @@ impl LcsRun {
 
     /// Bind inputs to an already-compiled (typically cached) plan.  The plan
     /// must have been produced by [`plan_paco_lcs`] for exactly
-    /// `(a.len(), b.len())` and the same `base`.
-    pub fn from_plan(a: Vec<u32>, b: Vec<u32>, compiled: Arc<PacoLcsPlan>, base: usize) -> Self {
-        let (n, m) = (a.len(), b.len());
-        Self {
-            table: LcsTable::new(n, m),
-            addr: LcsAddr::new(n, m),
-            a,
-            b,
-            compiled,
-            base,
-            arena: None,
-        }
+    /// `(a.len(), b.len())`.  `base` only shaped the plan's partition; a
+    /// step sweeps its whole region at once.
+    pub fn from_plan(a: Vec<u32>, b: Vec<u32>, compiled: Arc<PacoLcsPlan>, _base: usize) -> Self {
+        let len = Self::store_len(&compiled, a.len(), b.len());
+        Self::bind(a, b, compiled, vec![0; len], None)
     }
 
-    /// As [`LcsRun::from_plan`], but checking the `(n+1) × (m+1)` table
-    /// storage out of `arena`; the whole table returns to the pool at
-    /// [`LcsRun::finish`] (the output is just the LCS length).
+    /// As [`LcsRun::from_plan`], but checking the boundary store out of
+    /// `arena`; it returns to the pool at [`LcsRun::finish`] (the output is
+    /// just the LCS length).
     pub fn from_plan_in(
         a: Vec<u32>,
         b: Vec<u32>,
         compiled: Arc<PacoLcsPlan>,
-        base: usize,
+        _base: usize,
         arena: Arc<ScratchArena>,
     ) -> Self {
-        let (n, m) = (a.len(), b.len());
-        let storage = arena.take_vec((n + 1) * (m + 1), 0u32);
+        let storage = arena.take_vec(Self::store_len(&compiled, a.len(), b.len()), 0u32);
+        Self::bind(a, b, compiled, storage, Some(arena))
+    }
+
+    fn store_len(compiled: &PacoLcsPlan, n: usize, m: usize) -> usize {
+        compiled.cut_rows.len() * (m + 1) + compiled.cut_cols.len() * (n + 1)
+    }
+
+    fn bind(
+        a: Vec<u32>,
+        b: Vec<u32>,
+        compiled: Arc<PacoLcsPlan>,
+        storage: Vec<u32>,
+        arena: Option<Arc<ScratchArena>>,
+    ) -> Self {
+        debug_assert!(storage.iter().all(|&x| x == 0), "store must start zeroed");
         Self {
-            table: LcsTable::with_storage(n, m, storage),
-            addr: LcsAddr::new(n, m),
             a,
             b,
             compiled,
-            base,
-            arena: Some(arena),
+            store: SharedSlice::from_vec(storage),
+            arena,
         }
     }
 
@@ -99,72 +112,115 @@ impl LcsRun {
         &self.compiled.plan
     }
 
-    /// Compute region `idx` with the sequential cache-oblivious kernel.
+    /// Bytes of the boundary store (the run's only per-request table
+    /// memory).
+    pub fn store_bytes(&self) -> usize {
+        self.store.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Store offset of table row `i`'s first cell, if `i` is a cut row.
+    fn row_at(&self, i: usize) -> Option<usize> {
+        Some(self.compiled.row_slot(i)? * (self.b.len() + 1))
+    }
+
+    /// Store offset of table column `j`'s first cell, if `j` is a cut
+    /// column.
+    fn col_at(&self, j: usize) -> Option<usize> {
+        let slot = self.compiled.col_slot(j)?;
+        Some(self.compiled.cut_rows.len() * (self.b.len() + 1) + slot * (self.a.len() + 1))
+    }
+
+    /// Table cell `(i, j)` as held by the store.
+    ///
+    /// # Panics
+    ///
+    /// If neither row `i` nor column `j` is a cut of the plan.
+    pub fn boundary_cell(&self, i: usize, j: usize) -> u32 {
+        match (self.row_at(i), self.col_at(j)) {
+            (Some(row), _) => self.store.get(row + j),
+            (None, Some(col)) => self.store.get(col + i),
+            (None, None) => panic!("LCS cell ({i}, {j}) is on no cut row or column"),
+        }
+    }
+
+    /// Install `value` as table cell `(i, j)`, in every store copy of it.
+    ///
+    /// # Panics
+    ///
+    /// If neither row `i` nor column `j` is a cut of the plan.
+    pub fn set_boundary_cell(&mut self, i: usize, j: usize, value: u32) {
+        let (row, col) = (self.row_at(i), self.col_at(j));
+        assert!(
+            row.is_some() || col.is_some(),
+            "LCS cell ({i}, {j}) is on no cut row or column"
+        );
+        if let Some(row) = row {
+            self.store.set(row + j, value);
+        }
+        if let Some(col) = col {
+            self.store.set(col + i, value);
+        }
+    }
+
+    /// Compute region `idx` with one [`bp_block`] sweep: read its halo out
+    /// of the store, write its bottom row and right column back.
     pub fn step(&self, _proc: ProcId, idx: &usize) {
         let region = &self.compiled.regions[*idx];
-        co_block(
-            &self.table,
-            &self.a,
-            &self.b,
-            region.rows.clone(),
-            region.cols.clone(),
-            self.base,
-            &mut NullTracker,
-            &self.addr,
+        let (rows, cols) = (region.rows.clone(), region.cols.clone());
+        let cut = "a region's halo and boundary lie on cuts";
+        let top = self.row_at(rows.start - 1).expect(cut);
+        let left = self.col_at(cols.start - 1).expect(cut);
+        let bottom = self.row_at(rows.end - 1).expect(cut);
+        let right = self.col_at(cols.end - 1).expect(cut);
+        // SAFETY: the wavefront discipline of `paco_core::shared`.  The
+        // halo (`top`, `left`) was written by regions of earlier waves and
+        // nothing writes it during this wave.  `bottom` and `right` are
+        // cells of this region alone — distinct store rows/columns from the
+        // halo, since `rows.end - 1 >= rows.start` and likewise for columns
+        // — and no other region reads them before a later wave.
+        let (top, left, bottom, right) = unsafe {
+            (
+                self.store.slice(top + cols.start - 1..top + cols.end),
+                self.store.slice(left + rows.start..left + rows.end),
+                self.store.slice_mut(bottom + cols.start..bottom + cols.end),
+                self.store.slice_mut(right + rows.start..right + rows.end),
+            )
+        };
+        bp_block(
+            &self.a[rows.start - 1..rows.end - 1],
+            &self.b[cols.start - 1..cols.end - 1],
+            top,
+            left,
+            bottom,
+            right,
         );
+        // Mirror this region's boundary cells that also lie on a cut of the
+        // other orientation, so whichever copy a later halo reads is final.
+        for (j, &x) in (cols.start..cols.end - 1).zip(bottom.iter()) {
+            if let Some(col) = self.col_at(j) {
+                self.store.set(col + rows.end - 1, x);
+            }
+        }
+        for (i, &x) in (rows.start..rows.end - 1).zip(right.iter()) {
+            if let Some(row) = self.row_at(i) {
+                self.store.set(row + cols.end - 1, x);
+            }
+        }
     }
 
-    /// The LCS table being filled.  The distributed backend packs and
-    /// unpacks halo rows/columns straight off this table on each rank.
-    pub fn table(&self) -> &LcsTable {
-        &self.table
-    }
-
-    /// Read the LCS length off the completed table; the table storage goes
-    /// back to the arena when the run was built with [`LcsRun::from_plan_in`].
+    /// Read the LCS length off the store; the store goes back to the arena
+    /// when the run was built with [`LcsRun::from_plan_in`].
     pub fn finish(self) -> u32 {
         let len = if self.a.is_empty() || self.b.is_empty() {
             0
         } else {
-            self.table.lcs_length()
+            self.boundary_cell(self.a.len(), self.b.len())
         };
         if let Some(arena) = &self.arena {
-            arena.put_vec(self.table.into_storage());
+            arena.put_vec(self.store.into_vec());
         }
         len
     }
-}
-
-/// Execute a pre-computed plan (exposed so benches can separate partitioning
-/// overheads from execution time, as the paper's accounting does).
-pub fn execute_plan(
-    a: &[u32],
-    b: &[u32],
-    plan: &PacoLcsPlan,
-    pool: &WorkerPool,
-    base: usize,
-) -> u32 {
-    let n = a.len();
-    let m = b.len();
-    if n == 0 || m == 0 {
-        return 0;
-    }
-    let table = LcsTable::new(n, m);
-    let addr = LcsAddr::new(n, m);
-    plan.plan.execute(pool, |_, &idx| {
-        let region = &plan.regions[idx];
-        co_block(
-            &table,
-            a,
-            b,
-            region.rows.clone(),
-            region.cols.clone(),
-            base,
-            &mut NullTracker,
-            &addr,
-        );
-    });
-    table.lcs_length()
 }
 
 /// PACO LCS replayed through the ideal distributed cache simulator: the same
@@ -207,6 +263,7 @@ mod tests {
     use super::*;
     use crate::lcs::kernel::{lcs_reference, lcs_sequential_traced};
     use paco_core::workload::{random_sequence, related_sequences};
+    use paco_runtime::WorkerPool;
 
     /// Prepare-and-run helper standing in for the removed pool-threading
     /// wrappers; real callers go through `paco_service::Session`.
@@ -225,6 +282,29 @@ mod tests {
             for p in [1usize, 2, 3, 5, 7] {
                 let pool = WorkerPool::new(p);
                 assert_eq!(run_paco(&a, &b, &pool, 16), expect, "n={n} m={m} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn prime_p_on_rectangular_and_thin_tables() {
+        // n != m throughout, and one side below one 64-bit word in the
+        // thin shapes, at the production base size.
+        for &(n, m) in &[
+            (300usize, 170usize),
+            (170, 300),
+            (1000, 37),
+            (40, 700),
+            (63, 1),
+            (1, 90),
+        ] {
+            let a = random_sequence(n, 5, n as u64 + 7);
+            let b = random_sequence(m, 5, m as u64 + 11);
+            let expect = lcs_reference(&a, &b);
+            for p in [3usize, 5, 7] {
+                let pool = WorkerPool::new(p);
+                let got = run_paco(&a, &b, &pool, crate::lcs::kernel::DEFAULT_BASE);
+                assert_eq!(got, expect, "n={n} m={m} p={p}");
             }
         }
     }

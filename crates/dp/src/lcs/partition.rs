@@ -79,6 +79,17 @@ pub struct PacoLcsPlan {
     /// The executable wavefront schedule; each step's job is an index into
     /// [`PacoLcsPlan::regions`].
     pub plan: Plan<usize>,
+    /// The distinct table rows some region ends on (`rows.end - 1`), plus
+    /// row 0, ascending: the rows a boundary-only run stores.
+    pub cut_rows: Vec<usize>,
+    /// The distinct table columns some region ends on, plus column 0,
+    /// ascending.
+    pub cut_cols: Vec<usize>,
+    /// Position of each table row `0..=n` in `cut_rows` (`u32::MAX` when
+    /// the row is not a cut).
+    row_slots: Vec<u32>,
+    /// Position of each table column `0..=m` in `cut_cols`.
+    col_slots: Vec<u32>,
 }
 
 /// 1-based row (or column) range of block `b` out of `2^level` blocks over `len`
@@ -96,10 +107,7 @@ pub fn plan_paco_lcs(n: usize, m: usize, p: usize, base: usize) -> PacoLcsPlan {
     assert!(p >= 1);
     assert!(base >= 1);
     if n == 0 || m == 0 {
-        return PacoLcsPlan {
-            regions: Vec::new(),
-            plan: Plan::empty(p),
-        };
+        return PacoLcsPlan::new(Vec::new(), Plan::empty(p), n, m);
     }
 
     // ---- Phase 1: divide-and-assign over the virtual square grid. ----
@@ -197,7 +205,7 @@ pub fn plan_paco_lcs(n: usize, m: usize, p: usize, base: usize) -> PacoLcsPlan {
             .collect(),
     );
 
-    PacoLcsPlan { regions, plan }
+    PacoLcsPlan::new(regions, plan, n, m)
 }
 
 /// Compute the wavefront schedule: wave `w` contains the regions whose longest
@@ -273,6 +281,44 @@ fn build_waves(regions: &[Region]) -> Vec<Vec<usize>> {
 }
 
 impl PacoLcsPlan {
+    /// Record the cut rows and columns of `regions` over an `n × m` table.
+    fn new(regions: Vec<Region>, plan: Plan<usize>, n: usize, m: usize) -> Self {
+        let cuts = |len: usize, end: fn(&Region) -> usize| {
+            let mut cuts: Vec<usize> = std::iter::once(0).chain(regions.iter().map(end)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut slots = vec![u32::MAX; len + 1];
+            for (slot, &c) in cuts.iter().enumerate() {
+                slots[c] = slot as u32;
+            }
+            (cuts, slots)
+        };
+        let (cut_rows, row_slots) = cuts(n, |r| r.rows.end - 1);
+        let (cut_cols, col_slots) = cuts(m, |r| r.cols.end - 1);
+        Self {
+            regions,
+            plan,
+            cut_rows,
+            cut_cols,
+            row_slots,
+            col_slots,
+        }
+    }
+
+    /// Position of table row `i` in [`PacoLcsPlan::cut_rows`], if it is a
+    /// cut.
+    pub(crate) fn row_slot(&self, i: usize) -> Option<usize> {
+        let slot = self.row_slots[i];
+        (slot != u32::MAX).then_some(slot as usize)
+    }
+
+    /// Position of table column `j` in [`PacoLcsPlan::cut_cols`], if it is
+    /// a cut.
+    pub(crate) fn col_slot(&self, j: usize) -> Option<usize> {
+        let slot = self.col_slots[j];
+        (slot != u32::MAX).then_some(slot as usize)
+    }
+
     /// Number of processors the plan targets.
     pub fn p(&self) -> usize {
         self.plan.p()

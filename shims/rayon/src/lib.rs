@@ -335,9 +335,24 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Mutex, MutexGuard};
+    use std::time::Duration;
+
+    /// Held by every test that draws on the process-wide thread budget, so
+    /// a test that needs a spare thread never finds it taken by a
+    /// concurrently running one.
+    static BUDGET: Mutex<()> = Mutex::new(());
+
+    fn budget() -> MutexGuard<'static, ()> {
+        BUDGET
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn join_returns_both_results() {
+        let _budget = budget();
         let (a, b) = super::join(|| 1 + 1, || "two");
         assert_eq!(a, 2);
         assert_eq!(b, "two");
@@ -345,15 +360,27 @@ mod tests {
 
     #[test]
     fn join_runs_concurrently_when_budget_allows() {
+        let _budget = budget();
         if super::max_threads() < 2 {
             return;
         }
-        let barrier = std::sync::Barrier::new(2);
-        super::join(|| barrier.wait(), || barrier.wait());
+        // Each side announces itself, then waits (bounded) for the other.
+        // Run concurrently both meet; run inline the first side times out
+        // instead of hanging, and the assertion below fails.
+        fn meet(tx: Sender<()>, rx: Receiver<()>) -> bool {
+            // Inline, the first side is gone by the time the second sends.
+            let _ = tx.send(());
+            rx.recv_timeout(Duration::from_secs(10)).is_ok()
+        }
+        let (tx_a, rx_a) = channel();
+        let (tx_b, rx_b) = channel();
+        let (a_met, b_met) = super::join(|| meet(tx_a, rx_b), || meet(tx_b, rx_a));
+        assert!(a_met && b_met, "join ran its closures one after the other");
     }
 
     #[test]
     fn nested_joins_do_not_explode() {
+        let _budget = budget();
         fn recurse(depth: usize) -> usize {
             if depth == 0 {
                 return 1;
@@ -366,6 +393,7 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
+        let _budget = budget();
         let v: Vec<usize> = (0..1000).collect();
         let doubled: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
@@ -373,6 +401,7 @@ mod tests {
 
     #[test]
     fn chunks_mut_touch_every_element() {
+        let _budget = budget();
         let mut v = vec![0u32; 997];
         v.par_chunks_mut(10).enumerate().for_each(|(i, chunk)| {
             for x in chunk {
@@ -385,6 +414,7 @@ mod tests {
 
     #[test]
     fn into_par_iter_consumes_vec() {
+        let _budget = budget();
         let counter = AtomicUsize::new(0);
         let v: Vec<usize> = (0..100).collect();
         v.into_par_iter().for_each(|x| {
@@ -407,6 +437,7 @@ mod tests {
 
     #[test]
     fn parallel_panic_propagates() {
+        let _budget = budget();
         let caught = std::panic::catch_unwind(|| {
             let v: Vec<usize> = (0..100).collect();
             v.par_iter().for_each(|&x| {

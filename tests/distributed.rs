@@ -9,6 +9,7 @@ use paco_cache_sim::distributed::{paco_mm_distributed, paco_strassen_distributed
 use paco_core::semiring::BoolSemiring;
 use paco_core::workload;
 use paco_dist::{ceil_log2, lower, run_lowered, FwDist, MmDist, StrassenDist};
+use paco_dp::lcs::lcs_reference;
 use paco_graph::plan_fw;
 use paco_matmul::{plan_mm_1piece, plan_strassen, MmConfig, StrassenOptions, StrassenRun};
 use paco_service::{Apsp, Backend, Closure, Lcs, MatMul, Session, Sort, Strassen};
@@ -88,18 +89,23 @@ proptest! {
 
     #[test]
     fn lcs_distributed_agrees(
-        n in 0usize..160,
-        m in 0usize..160,
+        n in 0usize..300,
+        m in 0usize..300,
+        alphabet in 2u32..257,
         seed in 0u64..1_000,
         ri in 0usize..7,
     ) {
         // n or m may be zero: the distributed backend must fall back to the
-        // local pool for the degenerate shapes instead of failing.
-        let a = workload::random_sequence(n, 4, seed);
-        let b = workload::random_sequence(m, 4, seed + 1);
+        // local pool for the degenerate shapes instead of failing.  Both
+        // backends run the same leaf, so each is also held to the
+        // textbook reference.
+        let a = workload::random_sequence(n, alphabet, seed);
+        let b = workload::random_sequence(m, alphabet, seed + 1);
+        let expect = lcs_reference(&a, &b);
         let want = local_session(RANKS[ri]).run(Lcs { a: a.clone(), b: b.clone() });
         let got = dist_session(RANKS[ri]).run(Lcs { a, b });
-        prop_assert_eq!(want, got);
+        prop_assert_eq!(want, expect);
+        prop_assert_eq!(got, expect);
     }
 
     #[test]

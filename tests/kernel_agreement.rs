@@ -1,9 +1,10 @@
 //! Agreement suite for the leaf-kernel fast paths (PR 8).
 //!
 //! The SIMD microkernel, the semiring-specialized Floyd–Warshall rows, the
-//! branch-free LCS base block and the arena-pooled binds are all *pure
+//! bit-parallel LCS base block and the arena-pooled binds are all *pure
 //! optimisations*: every one must produce **bit-identical** output to the
-//! generic loop it replaces.  This file holds them to that:
+//! generic loop it replaces (for the LCS block: on every cell it writes).
+//! This file holds them to that:
 //!
 //! * `mm_base` over `f64` (which dispatches to the runtime-selected
 //!   [`paco_core::simd`] microkernel) against a hand-written per-element
@@ -15,8 +16,10 @@
 //!   the `NullTracker` run takes the specialized row fast path, the
 //!   `SimTracker` run (tracking enabled) takes the historical generic loop —
 //!   both in one process, compared cell by cell.
-//! * The LCS [`base_block`] the same way: `NullTracker` runs the branch-free
-//!   sweep, `SimTracker` the generic one.
+//! * The LCS [`base_block`] the same way: `NullTracker` runs the
+//!   bit-parallel [`bp_block`] leaf, which writes only the block's bottom
+//!   row and right column, `SimTracker` the scalar sweep; their boundaries
+//!   must agree, including on blocks cut out of a table at an offset.
 //! * Arena reuse: warm same-shaped passes through one [`Session`] must
 //!   return identical outputs while `arena_stats` reports a strictly
 //!   positive reuse ratio.
@@ -30,7 +33,7 @@ use paco_core::workload::{
     random_adjacency, random_digraph, random_keys, random_matrix_f64, random_matrix_wrapping,
     related_sequences,
 };
-use paco_dp::lcs::kernel::{base_block, lcs_reference, LcsAddr, LcsTable};
+use paco_dp::lcs::kernel::{base_block, bp_block, lcs_reference, LcsAddr, LcsTable};
 use paco_graph::{fw_reference, relax, FwAddr, FwTable};
 use paco_matmul::kernel::mm_base;
 use paco_service::{Lcs, Session, Sort};
@@ -166,8 +169,11 @@ proptest! {
         prop_assert_eq!(fast.to_matrix(), fw_reference(&adj));
     }
 
-    /// The branch-free LCS base block (NullTracker) fills the table exactly
-    /// like the generic sweep (SimTracker) and the textbook reference.
+    /// The LCS base block under `NullTracker` (the bit-parallel leaf)
+    /// writes only the block's boundary; that boundary, and so the LCS
+    /// length, matches the scalar sweep (SimTracker) and the textbook
+    /// reference.  Interior cells are deliberately not compared: the fast
+    /// path never materialises them.
     #[test]
     fn lcs_base_block_fast_path_matches_generic(
         n in 1usize..60,
@@ -181,8 +187,51 @@ proptest! {
         base_block(&fast, a, b, 1..n + 1, 1..m + 1, &mut NullTracker, &addr);
         let generic = LcsTable::new(n, m);
         base_block(&generic, a, b, 1..n + 1, 1..m + 1, &mut sim_tracker(), &addr);
-        prop_assert_eq!(fast.grid().snapshot(), generic.grid().snapshot());
+        for j in 1..=m {
+            prop_assert_eq!(fast.grid().get(n, j), generic.grid().get(n, j));
+        }
+        for i in 1..=n {
+            prop_assert_eq!(fast.grid().get(i, m), generic.grid().get(i, m));
+        }
         prop_assert_eq!(fast.lcs_length(), lcs_reference(a, b));
+    }
+
+    /// `bp_block` on a block cut out of a real table at a random offset —
+    /// so its top and left boundaries are not all zero — produces exactly
+    /// the bottom row and right column the tracked scalar `base_block`
+    /// wrote there.  Widths straddle the 64-bit word size, and the
+    /// alphabets run from 2 to 256 symbols, optionally mapped onto symbols
+    /// at or above 256 (up to `u32::MAX`), which take the sorted
+    /// match-mask table.
+    #[test]
+    fn lcs_bp_block_matches_tracked_base_block(
+        h in 1usize..200,
+        w in 1usize..200,
+        offset in (0usize..70, 0usize..70),
+        alphabet in 2u32..257,
+        wide in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let (di, dj) = offset;
+        let (n, m) = (di + h, dj + w);
+        let (a, b) = related_sequences(n.max(m), alphabet, 0.3, seed);
+        let widen = |s: &[u32]| -> Vec<u32> {
+            s.iter().map(|&x| if wide { u32::MAX - x } else { x }).collect()
+        };
+        let (a, b) = (widen(&a[..n]), widen(&b[..m]));
+        let addr = LcsAddr::new(n, m);
+        let table = LcsTable::new(n, m);
+        base_block(&table, &a, &b, 1..n + 1, 1..m + 1, &mut sim_tracker(), &addr);
+        let grid = table.grid();
+        let top: Vec<u32> = (dj..=m).map(|j| grid.get(di, j)).collect();
+        let left: Vec<u32> = (di + 1..=n).map(|i| grid.get(i, dj)).collect();
+        let mut bottom = vec![0; w];
+        let mut right = vec![0; h];
+        bp_block(&a[di..], &b[dj..], &top, &left, &mut bottom, &mut right);
+        let want_bottom: Vec<u32> = (dj + 1..=m).map(|j| grid.get(n, j)).collect();
+        let want_right: Vec<u32> = (di + 1..=n).map(|i| grid.get(i, m)).collect();
+        prop_assert_eq!(bottom, want_bottom);
+        prop_assert_eq!(right, want_right);
     }
 }
 

@@ -16,8 +16,11 @@
 //!   per processor — executed on the processor-aware worker pool.  Run it
 //!   through `paco_service::Session` with the `Sort` request.
 //!
-//! All variants are generic over `Copy + Send + Sync` keys with a total order
-//! given by `PartialOrd` (ties allowed, NaNs rejected by debug assertions).
+//! All three share one splitter classifier ([`seq`]'s branch-free implicit
+//! search tree) and one leaf (`slice::sort_unstable_by`), so Fig. 12b compares
+//! partitionings over identical kernels.  Keys are `Copy + Send + Sync` and
+//! ordered by `PartialOrd` (ties allowed), which must be total apart from
+//! NaN; NaN keys sort last.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,17 +38,6 @@ pub use seq::seq_sample_sort;
 /// [`paco_core::arena::ScratchArena`].)
 pub trait SortKey: Copy + Send + Sync + PartialOrd + 'static {}
 impl<T: Copy + Send + Sync + PartialOrd + 'static> SortKey for T {}
-
-/// Compare two keys, treating incomparable pairs (NaN) as equal after a debug
-/// assertion; sorting is only meaningful on totally ordered inputs.
-#[inline]
-pub(crate) fn cmp_keys<T: PartialOrd>(a: &T, b: &T) -> std::cmp::Ordering {
-    debug_assert!(
-        a.partial_cmp(b).is_some(),
-        "sorting keys must be totally ordered (no NaN)"
-    );
-    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-}
 
 #[cfg(test)]
 mod tests {

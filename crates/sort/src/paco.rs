@@ -9,9 +9,9 @@
 //!    `(1 + ε)·n/p` keys w.h.p. (the proof adapts Blelloch et al.'s
 //!    Theorem B.4).
 //! 2. **Partition** — each processor takes an `n/p ± 1` chunk of the input and
-//!    partitions it into `p` sub-chunks by the pivots (we use a binary search
-//!    per key, `Θ(log p)` comparisons, the same asymptotics as the paper's
-//!    ⌈log₂ p⌉-level partial quicksort).
+//!    partitions it into `p` sub-chunks by the pivots (with the crate's
+//!    branch-free classifier, `⌈log₂ p⌉` comparisons per key, the same
+//!    asymptotics as the paper's ⌈log₂ p⌉-level partial quicksort).
 //! 3. **Count matrix & prefix sums** — the `p × p` matrix `N[i][j]` (keys of
 //!    chunk `i` destined for processor `j`) is reduced by column prefix sums to
 //!    exact destination offsets.
@@ -33,8 +33,8 @@
 //! batch wave-by-wave (`Plan::batch`): a batch of `k` sorts still costs four
 //! barriers, not `4k`.
 
-use crate::seq::{seq_sample_sort, small_sort};
-use crate::{cmp_keys, SortKey};
+use crate::seq::{seq_sample_sort, Classifier};
+use crate::SortKey;
 use paco_core::arena::ScratchArena;
 use paco_core::proc_list::ProcId;
 use paco_core::shared::SharedSlice;
@@ -90,7 +90,8 @@ pub enum SortJob {
 /// [`plan_sort`] and [`SortRun::from_plan`].
 pub struct SortRun<T> {
     input: Vec<T>,
-    pivots: Vec<T>,
+    /// The `p − 1` pivots, as the shared splitter classifier.
+    pivots: Classifier<T>,
     /// `grouped[i][j]`: keys of source chunk `i` destined for processor `j`.
     grouped: Vec<Mutex<Vec<Vec<T>>>>,
     /// `(dest_start, offsets)`: destination ranges and per-(source,
@@ -222,17 +223,13 @@ impl<T: SortKey> SortRun<T> {
     }
 
     /// Step 1 (host side): pivots from an oversampled random sample.
-    fn select_pivots(data: &[T], p: usize, k: usize) -> Vec<T> {
+    fn select_pivots(data: &[T], p: usize, k: usize) -> Classifier<T> {
         let n = data.len();
         let mut rng = paco_core::workload::rng(0xc0de_5eed ^ n as u64);
-        let sample_size = (k.max(1) * p).min(n);
-        let mut sample: Vec<T> = (0..sample_size)
+        let mut sample: Vec<T> = (0..(k.max(1) * p).min(n))
             .map(|_| data[rng.gen_range(0..n)])
             .collect();
-        small_sort(&mut sample);
-        (1..p)
-            .map(|i| sample[(i * sample_size / p).min(sample_size - 1)])
-            .collect()
+        Classifier::from_sample(&mut sample, p)
     }
 
     /// A run whose plan needs no partition/scatter state: the input moves
@@ -240,7 +237,7 @@ impl<T: SortKey> SortRun<T> {
     fn degenerate(data: Vec<T>, p: usize, plan: Arc<Plan<SortJob>>) -> Self {
         Self {
             input: Vec::new(),
-            pivots: Vec::new(),
+            pivots: Classifier::from_sample(&mut [], 1),
             grouped: Vec::new(),
             layout: Mutex::new((Vec::new(), Vec::new())),
             scratch: SharedSlice::from_vec(data),
@@ -261,10 +258,13 @@ impl<T: SortKey> SortRun<T> {
         let n = self.scratch.len();
         match *job {
             SortJob::Partition { i, lo, hi } => {
+                let keys = &self.input[lo..hi];
+                let (mut ids, mut counts) = (vec![0u16; keys.len()], vec![0usize; p]);
+                self.pivots.classify_into(keys, &mut ids, &mut counts);
                 let mut buckets: Vec<Vec<T>> =
-                    (0..self.pivots.len() + 1).map(|_| Vec::new()).collect();
-                for x in &self.input[lo..hi] {
-                    buckets[bucket_of(x, &self.pivots)].push(*x);
+                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+                for (x, &b) in keys.iter().zip(&ids) {
+                    buckets[b as usize].push(*x);
                 }
                 *self.grouped[i].lock() = buckets;
             }
@@ -336,20 +336,6 @@ impl<T: SortKey> SortRun<T> {
         }
         self.scratch.into_vec()
     }
-}
-
-fn bucket_of<T: SortKey>(x: &T, pivots: &[T]) -> usize {
-    let mut lo = 0usize;
-    let mut hi = pivots.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cmp_keys(&pivots[mid], x) == std::cmp::Ordering::Less {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]

@@ -7,9 +7,14 @@
 //! (the "matrix transposition" step), and finally sort every bucket in
 //! parallel.  Every parallel step is a rayon data-parallel loop — the algorithm
 //! never looks at the processor count, which is what makes it the PO baseline.
+//!
+//! Its kernels are the sequential sort's: the branch-free `Classifier`
+//! classifies each key once, into a `u16` oracle the scatter reads back;
+//! small inputs go to the std leaf, buckets to [`seq_sample_sort`].  Only the
+//! partitioning differs from PACO SORT, as Fig. 12b requires.
 
-use crate::seq::{seq_sample_sort, small_sort};
-use crate::{cmp_keys, SortKey};
+use crate::seq::{leaf_sort, seq_sample_sort, Classifier};
+use crate::SortKey;
 use rayon::prelude::*;
 
 /// Inputs of at most this length are sorted directly.
@@ -19,32 +24,29 @@ const SMALL_SORT: usize = 4096;
 pub fn po_sample_sort<T: SortKey>(data: &mut [T]) {
     let n = data.len();
     if n <= SMALL_SORT {
-        small_sort(data);
-        return;
+        return leaf_sort(data);
     }
 
     // ---- Pivots: oversample by 8, sort the sample, take √n - 1 splitters.
     let buckets = ((n as f64).sqrt() as usize).clamp(2, 4096);
-    let oversample = 8;
-    let sample_size = (buckets * oversample).min(n);
     let mut rng = paco_core::workload::rng(0xb10c_5eed);
-    let mut sample: Vec<T> = (0..sample_size)
+    let mut sample: Vec<T> = (0..(buckets * 8).min(n))
         .map(|_| data[rand::Rng::gen_range(&mut rng, 0..n)])
         .collect();
-    small_sort(&mut sample);
-    let pivots: Vec<T> = (1..buckets)
-        .map(|i| sample[i * sample_size / buckets])
-        .collect();
+    let classifier = Classifier::from_sample(&mut sample, buckets);
 
-    // ---- Per-block bucket counting (parallel over blocks).
+    // ---- Per-block classification and bucket counting (parallel over
+    // blocks); every block records its keys' bucket ids in its oracle chunk.
     let block_size = n.div_ceil(buckets);
+    let mut oracle = vec![0u16; n];
     let block_counts: Vec<Vec<usize>> = data
-        .par_chunks(block_size)
-        .map(|chunk| {
+        .chunks(block_size)
+        .zip(oracle.chunks_mut(block_size))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(chunk, ids)| {
             let mut counts = vec![0usize; buckets];
-            for x in chunk {
-                counts[bucket_of(x, &pivots)] += 1;
-            }
+            classifier.classify_into(chunk, ids, &mut counts);
             counts
         })
         .collect();
@@ -69,17 +71,20 @@ pub fn po_sample_sort<T: SortKey>(data: &mut [T]) {
     let mut scratch: Vec<T> = data.to_vec();
     {
         let scratch_ptr = SendPtr(scratch.as_mut_ptr());
-        data.par_chunks(block_size)
+        data.chunks(block_size)
+            .zip(oracle.chunks(block_size))
             .enumerate()
-            .for_each(|(blk, chunk)| {
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(blk, (chunk, ids))| {
                 // Rebind so the closure captures the whole `SendPtr` (which is
                 // Sync) rather than disjointly borrowing its raw-pointer field.
                 #[allow(clippy::redundant_locals)]
                 let scratch_ptr = scratch_ptr;
                 let mut cursors: Vec<usize> =
                     (0..buckets).map(|b| offsets[b * nblocks + blk]).collect();
-                for x in chunk {
-                    let b = bucket_of(x, &pivots);
+                for (x, &b) in chunk.iter().zip(ids) {
+                    let b = b as usize;
                     // SAFETY: cursor (b, blk) walks the half-open range
                     // [offsets[b*nblocks+blk], offsets[b*nblocks+blk+1]) which is
                     // disjoint from every other block's ranges, so no two rayon
@@ -129,20 +134,6 @@ struct SendPtr<T>(*mut T);
 // different rayon tasks (see the scatter step above).
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-fn bucket_of<T: SortKey>(x: &T, pivots: &[T]) -> usize {
-    let mut lo = 0usize;
-    let mut hi = pivots.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cmp_keys(&pivots[mid], x) == std::cmp::Ordering::Less {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
 
 #[cfg(test)]
 mod tests {

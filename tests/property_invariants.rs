@@ -23,8 +23,31 @@ use paco_matmul::paco_mm::plan_paco_mm_with_base;
 use paco_matmul::strassen::strassen_sequential_with_cutoff;
 use paco_runtime::schedule::{Plan, Step};
 use paco_service::{Lcs, MatMul, OneD, Session, Sort, Tuning};
-use paco_sort::{po_sample_sort, seq_sample_sort};
+use paco_sort::{po_sample_sort, seq_sample_sort, SortKey};
 use proptest::prelude::*;
+
+/// Lengths the sort property draws besides its random one: both sides of the
+/// leaf cut-offs (2048 keys for the sequential sort, 4096 for the PO sort) and
+/// of the power-of-two bucket counts, and 16,385, the first length PACO sorts
+/// in four waves.
+const SORT_LENS: [usize; 7] = [2047, 2048, 2049, 4095, 4096, 4097, 16_385];
+
+/// Sort `keys` with the sequential and PO sample sorts and through a `Session`
+/// at p ∈ {1, 2, 3} and `p`, comparing every output with `expect`.
+fn check_sorts<T: SortKey + std::fmt::Debug>(keys: &[T], expect: &[T], p: usize) {
+    let mut a = keys.to_vec();
+    seq_sample_sort(&mut a);
+    assert_eq!(a, expect, "seq_sample_sort");
+    let mut b = keys.to_vec();
+    po_sample_sort(&mut b);
+    assert_eq!(b, expect, "po_sample_sort");
+    for p in [1, 2, 3, p] {
+        let c = Session::new(p).run(Sort {
+            keys: keys.to_vec(),
+        });
+        assert_eq!(c, expect, "Session::run(Sort) at p = {p}");
+    }
+}
 
 /// Check every closed-semiring law on one drawn triple `(a, b, c)`.
 fn check_semiring_laws<S: Semiring>(a: S, b: S, c: S) {
@@ -192,22 +215,33 @@ proptest! {
     fn sorts_produce_sorted_permutations(
         keys in proptest::collection::vec(any::<i32>(), 0..3000),
         p in 1usize..6,
+        len in 0usize..SORT_LENS.len() + 1,
     ) {
-        let original: Vec<i64> = keys.iter().map(|&x| x as i64).collect();
-        let mut expect = original.clone();
-        expect.sort_unstable();
+        // The drawn keys, then (unless `len` picks none) the keys cycled out
+        // to a boundary length.
+        let mut lens = vec![keys.len()];
+        lens.extend(SORT_LENS.get(len).filter(|_| !keys.is_empty()));
+        for n in lens {
+            let ints: Vec<i64> = (0..n).map(|i| keys[i % keys.len()] as i64).collect();
+            let mut expect = ints.clone();
+            expect.sort_unstable();
+            check_sorts(&ints, &expect, p);
 
-        let mut a = original.clone();
-        seq_sample_sort(&mut a);
-        prop_assert_eq!(&a, &expect);
+            let words: Vec<u64> =
+                ints.iter().map(|&x| (x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+            let mut expect = words.clone();
+            expect.sort_unstable();
+            check_sorts(&words, &expect, p);
 
-        let mut b = original.clone();
-        po_sample_sort(&mut b);
-        prop_assert_eq!(&b, &expect);
-
-        let session = Session::new(p);
-        let c = session.run(Sort { keys: original });
-        prop_assert_eq!(&c, &expect);
+            let infinities = [f64::INFINITY, f64::NEG_INFINITY];
+            let floats: Vec<f64> = ints
+                .iter()
+                .map(|&x| if x % 97 == 0 { infinities[(x & 1) as usize] } else { x as f64 / 7.0 })
+                .collect();
+            let mut expect = floats.clone();
+            expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            check_sorts(&floats, &expect, p);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!   bit-identical to per-request `Session::run` for every workload —
 //!   including the MM and sort batch paths that only exist through the
 //!   service layer — and for a heterogeneous mixed-type batch;
+//! * NaN sort keys come out last, on both sort plan shapes;
 //! * a barrier-count regression: a batch of `k` equal Floyd–Warshall
 //!   instances costs max-of-waves (= one instance's waves), not `k×` waves,
 //!   measured through the session's scheduling stats.
@@ -243,6 +244,31 @@ fn fw_batch_costs_max_of_waves_not_sum() {
         stats.pool_barriers, stats.plan_waves,
         "exactly one pool barrier per merged wave"
     );
+}
+
+#[test]
+fn sort_puts_nan_keys_last_without_panicking() {
+    // Both plan shapes: one sequential step (small n or p = 1) and the PACO
+    // four-wave partition; NaN densities from every key to one in 13.
+    for (n, p) in [(3000, 2), (40_000, 1), (40_000, 3)] {
+        for stride in [1, 2, 13] {
+            let keys: Vec<f64> = random_keys(n, stride as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| if i % stride == 0 { f64::NAN } else { x })
+                .collect();
+            let mut expect: Vec<f64> = keys.iter().copied().filter(|x| !x.is_nan()).collect();
+            expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let out = session(p).run(Sort { keys });
+            assert_eq!(out.len(), n);
+            assert_eq!(
+                out[..expect.len()],
+                expect[..],
+                "n={n} p={p} stride={stride}"
+            );
+            assert!(out[expect.len()..].iter().all(|x| x.is_nan()));
+        }
+    }
 }
 
 #[test]
